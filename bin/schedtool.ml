@@ -532,8 +532,8 @@ let compare_cmd =
         let cycles, stalls =
           List.fold_left
             (fun (c, st) b ->
-              let s = Published.run ~opts spec b in
-              (c + Schedule.cycles s, st + Schedule.stalls s))
+              let sim = Schedule.simulate (Published.run ~opts spec b) in
+              (c + sim.Pipeline.completion, st + sim.Pipeline.stall_cycles))
             (0, 0) blocks
         in
         Table.add_row t

@@ -279,15 +279,26 @@ let run ?(state = create ()) insns =
   Array.iter (step state) insns;
   state
 
+(* Float cells compare with [Float.equal], as the FP registers do, so a
+   stored NaN equals itself; polymorphic [=] would say it never does. *)
+let equal_value v w =
+  match (v, w) with
+  | Int_value x, Int_value y -> Int64.equal x y
+  | Float_value x, Float_value y -> Float.equal x y
+  | (Int_value _ | Float_value _), _ -> false
+
+let same_cell b k v =
+  match Hashtbl.find_opt b.memory k with
+  | Some w -> equal_value v w
+  | None -> false
+
 (** Observable-state equality: registers, condition codes, Y and memory. *)
 let equal_state a b =
   a.int_regs = b.int_regs
   && Array.for_all2 (fun x y -> Float.equal x y) a.fp_regs b.fp_regs
   && a.icc = b.icc && a.fcc = b.fcc && a.y = b.y
   && Hashtbl.length a.memory = Hashtbl.length b.memory
-  && Hashtbl.fold
-       (fun k v acc -> acc && Hashtbl.find_opt b.memory k = Some v)
-       a.memory true
+  && Hashtbl.fold (fun k v acc -> acc && same_cell b k v) a.memory true
 
 (** Diff for error reporting. *)
 let diff a b =
@@ -310,7 +321,7 @@ let diff a b =
     Buffer.add_string out (Printf.sprintf "fcc: %d vs %d\n" a.fcc b.fcc);
   Hashtbl.iter
     (fun k v ->
-      if Hashtbl.find_opt b.memory k <> Some v then
+      if not (same_cell b k v) then
         Buffer.add_string out (Printf.sprintf "mem %s differs\n" k))
     a.memory;
   Buffer.contents out

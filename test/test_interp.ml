@@ -70,6 +70,19 @@ let test_equal_state () =
   check_bool "diff mentions register" true
     (String.length (Interp.diff a c) > 0)
 
+(* Both states store a NaN in the same cell: equal, though polymorphic
+   [=] on the cells would say a NaN never equals itself. *)
+let test_equal_state_nan_cell () =
+  let store_nan cell =
+    let st = Interp.create () in
+    st.Interp.fp_regs.(1) <- Float.nan;
+    Interp.run ~state:st (Array.of_list (parse ("stf %f1, " ^ cell)))
+  in
+  let a = store_nan "[x]" and b = store_nan "[x]" in
+  check_bool "equal with a NaN cell" true (Interp.equal_state a b);
+  check_string "no diff" "" (Interp.diff a b);
+  check_bool "different cell" false (Interp.equal_state a (store_nan "[y]"))
+
 let test_randomize_deterministic () =
   let s1 = Interp.create () and s2 = Interp.create () in
   Interp.randomize (Prng.create 5) s1;
@@ -114,6 +127,7 @@ let suite =
     quick "cc and branch reads" test_cc_and_branch_reads;
     quick "lddf fills pair" test_lddf_fills_pair;
     quick "equal_state" test_equal_state;
+    quick "equal_state NaN cell" test_equal_state_nan_cell;
     quick "randomize deterministic" test_randomize_deterministic;
     quick "unsupported opcodes" test_unsupported;
     quick "schedules preserve semantics" test_schedules_preserve_semantics ]
